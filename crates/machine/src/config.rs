@@ -35,11 +35,6 @@ pub enum ConfigError {
         /// The offending value, verbatim.
         value: String,
     },
-    /// `OFFCHIP_SCHED` names an unknown event-scheduler implementation.
-    BadSched {
-        /// The offending value, verbatim.
-        value: String,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -66,11 +61,6 @@ impl std::fmt::Display for ConfigError {
                 "jobs value {value:?} invalid — pass a positive integer to \
                  --jobs / OFFCHIP_JOBS"
             ),
-            ConfigError::BadSched { value } => write!(
-                f,
-                "scheduler {value:?} unknown — OFFCHIP_SCHED must be \
-                 \"calendar\" or \"heap\""
-            ),
         }
     }
 }
@@ -80,41 +70,6 @@ impl std::error::Error for ConfigError {}
 impl From<SpecError> for ConfigError {
     fn from(e: SpecError) -> ConfigError {
         ConfigError::Machine(e)
-    }
-}
-
-/// Which event-scheduler implementation drives the simulation loop.
-///
-/// Both produce the exact same pop sequence (the pinned
-/// `offchip_simcore::EventSched` ordering contract), so counters — and
-/// every experiment artefact byte — are identical under either; the choice
-/// is purely a performance one. CI runs the golden-artefact and determinism
-/// suites under both until the heap is retired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedKind {
-    /// Bucketed calendar queue with same-cycle batching — O(1) amortised,
-    /// the default.
-    #[default]
-    Calendar,
-    /// The binary-heap oracle (`OFFCHIP_SCHED=heap`).
-    Heap,
-}
-
-impl SchedKind {
-    /// Resolves the scheduler from `OFFCHIP_SCHED`: unset or `calendar` →
-    /// [`SchedKind::Calendar`], `heap` → [`SchedKind::Heap`], anything
-    /// else → [`ConfigError::BadSched`].
-    pub fn from_env() -> Result<SchedKind, ConfigError> {
-        match std::env::var("OFFCHIP_SCHED") {
-            Err(_) => Ok(SchedKind::Calendar),
-            Ok(v) => match v.as_str() {
-                "" | "calendar" => Ok(SchedKind::Calendar),
-                "heap" => Ok(SchedKind::Heap),
-                other => Err(ConfigError::BadSched {
-                    value: other.into(),
-                }),
-            },
-        }
     }
 }
 
@@ -211,11 +166,6 @@ pub struct SimConfig {
     /// paper's 5 µs window at this machine's clock and geometric scale
     /// (cf. [`SimConfig::with_sampler_5us_scaled`]).
     pub telemetry_window: Option<u64>,
-    /// Event-scheduler implementation; `None` (the default) resolves
-    /// [`SchedKind::from_env`] at run start. A field rather than a pure
-    /// env lookup so tests can pin a scheduler without racing on
-    /// process-global state.
-    pub sched: Option<SchedKind>,
 }
 
 impl SimConfig {
@@ -240,7 +190,6 @@ impl SimConfig {
             deadline: None,
             obs: offchip_obs::level(),
             telemetry_window: None,
-            sched: None,
         }
     }
 
@@ -334,14 +283,6 @@ mod tests {
         assert_eq!(cfg.effective_telemetry_window(), 208);
         cfg.telemetry_window = Some(500);
         assert_eq!(cfg.effective_telemetry_window(), 500);
-    }
-
-    #[test]
-    fn sched_kind_defaults_to_calendar() {
-        assert_eq!(SchedKind::default(), SchedKind::Calendar);
-        assert_eq!(SimConfig::new(machines::intel_uma_8(), 1).sched, None);
-        let e = ConfigError::BadSched { value: "zebra".into() };
-        assert!(e.to_string().contains("OFFCHIP_SCHED"));
     }
 
     #[test]

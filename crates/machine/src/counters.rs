@@ -100,7 +100,7 @@ impl WindowSampler {
 }
 
 /// Everything a simulation run produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Program name.
     pub program: String,

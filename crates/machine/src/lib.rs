@@ -40,7 +40,7 @@ pub mod firsttouch;
 pub mod ops;
 pub mod sim;
 
-pub use config::{ConfigError, McScheduler, MemoryPolicy, SchedKind, SimConfig};
+pub use config::{ConfigError, McScheduler, MemoryPolicy, SimConfig};
 pub use counters::{Counters, RunReport, WindowSampler};
 pub use firsttouch::FirstTouch;
 pub use ops::{Op, ProgramIter, Workload};

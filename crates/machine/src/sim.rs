@@ -29,7 +29,7 @@ use offchip_obs::{Histogram, McObs, ObsLevel, Span};
 use offchip_simcore::{CalendarQueue, EventQueue, EventSched, SimTime};
 use offchip_topology::{allocation, CoreId, McId};
 
-use crate::config::{ConfigError, McScheduler, MemoryPolicy, SchedKind, SimConfig};
+use crate::config::{ConfigError, McScheduler, MemoryPolicy, SimConfig};
 use crate::counters::{Counters, RunReport, WindowSampler};
 use crate::firsttouch::FirstTouch;
 use crate::ops::{Op, ProgramIter, Workload};
@@ -332,7 +332,6 @@ pub fn try_run_bounded(workload: &dyn Workload, cfg: &SimConfig) -> Result<RunRe
 pub struct LaneRunner<'a> {
     workload: &'a dyn Workload,
     cfg: &'a SimConfig,
-    sched: SchedKind,
     n_threads: usize,
     placement: allocation::Placement,
     /// Threads pinned to each active-core slot, in thread order.
@@ -349,10 +348,6 @@ impl<'a> LaneRunner<'a> {
     /// bug, not a configuration issue).
     pub fn new(workload: &'a dyn Workload, cfg: &'a SimConfig) -> Result<LaneRunner<'a>, RunError> {
         cfg.validate()?;
-        let sched = match cfg.sched {
-            Some(kind) => kind,
-            None => SchedKind::from_env()?,
-        };
         let n_threads = workload.n_threads();
         assert!(n_threads > 0, "workload has no threads");
 
@@ -391,7 +386,6 @@ impl<'a> LaneRunner<'a> {
         Ok(LaneRunner {
             workload,
             cfg,
-            sched,
             n_threads,
             placement,
             slot_threads,
@@ -402,10 +396,16 @@ impl<'a> LaneRunner<'a> {
 
     /// Runs one seed lane through the shared setup.
     pub fn run_seed(&self, seed: u64) -> Result<RunReport, RunError> {
-        match self.sched {
-            SchedKind::Calendar => self.run_lane::<CalendarQueue<Event>>(seed),
-            SchedKind::Heap => self.run_lane::<EventQueue<Event>>(seed),
-        }
+        self.run_lane::<CalendarQueue<Event>>(seed)
+    }
+
+    /// [`LaneRunner::run_seed`] driven by the binary-heap
+    /// [`EventQueue`] instead of the calendar queue: the ordering
+    /// reference that tests compare the shipped scheduler against. Both
+    /// must return equal reports for every seed.
+    #[doc(hidden)]
+    pub fn run_seed_heap_oracle(&self, seed: u64) -> Result<RunReport, RunError> {
+        self.run_lane::<EventQueue<Event>>(seed)
     }
 
     fn run_lane<Q: EventSched<Event> + Default>(&self, seed: u64) -> Result<RunReport, RunError> {
@@ -1468,11 +1468,7 @@ mod tests {
             let lane = runner.run_seed(seed).expect("no budgets set");
             let mut solo_cfg = cfg.clone();
             solo_cfg.seed = seed;
-            let solo = run(&w, &solo_cfg);
-            assert_eq!(lane.counters, solo.counters, "seed {seed:#x}");
-            assert_eq!(lane.makespan, solo.makespan);
-            assert_eq!(lane.mc_stats, solo.mc_stats);
-            assert_eq!(lane.placement, solo.placement);
+            assert_eq!(lane, run(&w, &solo_cfg), "seed {seed:#x}");
         }
     }
 
@@ -1493,14 +1489,13 @@ mod tests {
                 })
                 .collect(),
         };
-        let mut cfg = SimConfig::new(small_machine(), 3);
-        cfg.sched = Some(SchedKind::Heap);
-        let heap = run(&w, &cfg);
-        cfg.sched = Some(SchedKind::Calendar);
-        let cal = run(&w, &cfg);
-        assert_eq!(heap.counters, cal.counters);
-        assert_eq!(heap.makespan, cal.makespan);
-        assert_eq!(heap.mc_stats, cal.mc_stats);
+        let cfg = SimConfig::new(small_machine(), 3);
+        let runner = LaneRunner::new(&w, &cfg).expect("valid config");
+        let heap = runner
+            .run_seed_heap_oracle(cfg.seed)
+            .expect("no budgets set");
+        let cal = runner.run_seed(cfg.seed).expect("no budgets set");
+        assert_eq!(heap, cal);
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //!
 //! The pop sequence is identical to the heap oracle for every schedule —
 //! pinned by the lockstep proptest in `tests/calendar_oracle.rs` — which is
-//! why experiment artefacts are byte-identical under either scheduler.
+//! why a simulation run reports the same under either scheduler.
 
 use std::cell::Cell;
 use std::cmp::Ordering;

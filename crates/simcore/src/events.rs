@@ -22,8 +22,8 @@
 //! * **Determinism across implementations.** [`EventQueue`] (this binary
 //!   heap) is the oracle; [`crate::CalendarQueue`] must produce the exact
 //!   same pop sequence for any schedule (pinned by the lockstep proptest in
-//!   `tests/calendar_oracle.rs`), which is what makes experiment artefacts
-//!   byte-identical under either scheduler.
+//!   `tests/calendar_oracle.rs`), which is what makes a whole simulation
+//!   run report the same under either scheduler.
 //!
 //! `ties_break_fifo` and `ties_break_fifo_across_interleaved_pops` below are
 //! the regression tests for the first point.

@@ -14,7 +14,7 @@
 //!   stable FIFO tie-breaking, pinned) and its binary-heap oracle
 //!   implementation [`EventQueue`].
 //! * [`calendar`] — [`CalendarQueue`], the O(1)-amortised bucketed
-//!   scheduler the simulator runs on by default, with same-cycle batching
+//!   scheduler the simulator runs on, with same-cycle batching
 //!   and automatic ring resize.
 //! * [`traffic`] — arrival-process generators: Poisson and Pareto-ON/OFF
 //!   sources used by synthetic workloads and by the burstiness ablation.

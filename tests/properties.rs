@@ -8,8 +8,28 @@ use offchip::dram::fcfs::McConfig;
 use offchip::dram::mapping::AddressMapping;
 use offchip::dram::{EnqueueResult, FcfsController, McModel, Request};
 use offchip::model::Mm1Fit;
-use offchip::simcore::{EventQueue, Rng, SimTime};
+use offchip::simcore::{CalendarQueue, EventQueue, EventSched, Rng, SimTime};
 use offchip::stats::{Ccdf, LineFit, Summary};
+
+/// Schedules event `i` at `times[i]`, then drains `q`, checking that pops
+/// come in nondecreasing time order with FIFO ties and that none is lost.
+fn check_total_order(mut q: impl EventSched<usize>, times: &[u64]) -> Result<(), TestCaseError> {
+    for (i, &t) in times.iter().enumerate() {
+        q.schedule_at(SimTime(t), i);
+    }
+    let mut last = (SimTime::ZERO, 0usize);
+    let mut popped = 0;
+    while let Some((t, idx)) = q.pop() {
+        prop_assert!(t >= last.0);
+        if t == last.0 && popped > 0 {
+            prop_assert!(idx > last.1, "FIFO tie-break violated");
+        }
+        last = (t, idx);
+        popped += 1;
+    }
+    prop_assert_eq!(popped, times.len());
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -61,25 +81,13 @@ proptest! {
         prop_assert_eq!(stats.row_hits + stats.row_misses + stats.writes, stats.requests);
     }
 
-    /// The event queue pops in nondecreasing time order with FIFO ties,
-    /// regardless of insertion order.
+    /// Both event queues — the calendar queue the simulator runs on and
+    /// the binary-heap reference — pop in nondecreasing time order with
+    /// FIFO ties, regardless of insertion order.
     #[test]
     fn event_queue_total_order(times in prop::collection::vec(0u64..10_000, 1..300)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(SimTime(t), i);
-        }
-        let mut last = (SimTime::ZERO, 0usize);
-        let mut popped = 0;
-        while let Some((t, idx)) = q.pop() {
-            prop_assert!(t >= last.0);
-            if t == last.0 && popped > 0 {
-                prop_assert!(idx > last.1, "FIFO tie-break violated");
-            }
-            last = (t, idx);
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
+        check_total_order(CalendarQueue::new(), &times)?;
+        check_total_order(EventQueue::new(), &times)?;
     }
 
     /// An M/M/1 fit through exact model data recovers every point it was

@@ -22,7 +22,7 @@ pub mod atomic;
 pub use atomic::write_atomic;
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An owned JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -308,7 +308,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -322,9 +322,9 @@ fn write_num(out: &mut String, v: f64) {
         // keeps downstream plots from silently inheriting garbage.
         out.push_str("null");
     } else if v == v.trunc() && v.abs() < 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", v as i64));
+        let _ = write!(out, "{}", v as i64);
     } else {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -346,8 +346,14 @@ impl Json {
     /// Compact single-line rendering.
     pub fn to_compact_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact rendering to `out` — the same bytes as
+    /// [`Json::to_compact_string`], without allocating a fresh string.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Pretty rendering with two-space indentation.
@@ -574,6 +580,15 @@ mod tests {
     fn integers_render_without_exponent() {
         assert_eq!(Json::Num(1e9).to_compact_string(), "1000000000");
         assert_eq!(Json::Num(2.5).to_compact_string(), "2.5");
+    }
+
+    #[test]
+    fn write_compact_appends_the_compact_bytes() {
+        let v = json_obj! { "a" => vec![1.5f64, 2.0], "b" => "x\u{1}" };
+        let mut out = String::from("prefix:");
+        v.write_compact(&mut out);
+        assert_eq!(out, format!("prefix:{}", v.to_compact_string()));
+        assert_eq!(out, "prefix:{\"a\":[1.5,2],\"b\":\"x\\u0001\"}");
     }
 
     #[test]

@@ -345,12 +345,7 @@ impl Registry {
 
     /// Records one sample into the named histogram.
     pub fn observe(&self, name: &str, v: u64) {
-        self.histograms
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
+        self.with_histogram(name, |h| h.record(v));
     }
 
     /// Merges a per-run histogram into the named registry histogram.
@@ -358,12 +353,18 @@ impl Registry {
         if h.is_empty() {
             return;
         }
-        self.histograms
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_default()
-            .merge(h);
+        self.with_histogram(name, |dst| dst.merge(h));
+    }
+
+    /// Runs `f` on the named histogram under the mutex, creating it
+    /// empty first. The name is looked up by `&str`; only the first
+    /// insert allocates the key.
+    fn with_histogram(&self, name: &str, f: impl FnOnce(&mut Histogram)) {
+        let mut map = self.histograms.lock().unwrap();
+        match map.get_mut(name) {
+            Some(h) => f(h),
+            None => f(map.entry(name.to_string()).or_default()),
+        }
     }
 
     /// Current value of a counter (0 when absent).

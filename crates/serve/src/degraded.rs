@@ -112,34 +112,26 @@ pub fn analytic_entry(
         .map_err(|e| ServiceError::Internal(format!("degraded tier inputs: {e}")))?;
     let model = ContentionModel::fit(&inputs)
         .map_err(|e| ServiceError::Internal(format!("degraded tier fit: {e}")))?;
-    let params = model.params();
-    Ok(FittedEntry {
-        machine_name: machine.name.clone(),
-        protocol: proto.name,
-        total_cores: machine.total_cores(),
-        model,
-        params,
-        quality: FitQuality {
-            points_supplied: supplied,
-            points_used: supplied,
-            dropped: Vec::new(),
-            r_squared: 1.0,
-            fallback: Some(
-                "analytic first-principles prior from the machine description — \
-                 no simulation backs these numbers (circuit breaker open)"
-                    .into(),
-            ),
-        },
-        // No sweep exists to validate against; the null error fields
-        // are part of the degraded tier's honesty.
-        mean_relative_error: None,
-        mean_absolute_error: 0.0,
-    })
+    let quality = FitQuality {
+        points_supplied: supplied,
+        points_used: supplied,
+        dropped: Vec::new(),
+        r_squared: 1.0,
+        fallback: Some(
+            "analytic first-principles prior from the machine description — \
+             no simulation backs these numbers (circuit breaker open)"
+                .into(),
+        ),
+    };
+    // No sweep exists to validate against; the null error fields are
+    // part of the degraded tier's honesty.
+    Ok(FittedEntry::new(machine, proto, model, &quality, None, 0.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use offchip_json::Json;
     use offchip_model::FitProtocol;
     use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 
@@ -172,10 +164,19 @@ mod tests {
     #[test]
     fn provenance_declares_the_fallback() {
         let entry = entry_for(machines::intel_uma_8());
-        let fallback = entry.quality.fallback.clone().expect("fallback recorded");
+        let quality = entry.field("fit_quality");
+        let fallback = quality
+            .get("fallback")
+            .and_then(Json::as_str)
+            .expect("fallback recorded");
         assert!(fallback.contains("no simulation"), "{fallback}");
-        assert!(entry.mean_relative_error.is_none(), "no validation claimed");
-        assert!(entry.quality.is_degraded());
+        assert_eq!(quality.get("degraded"), Some(&Json::Bool(true)));
+        let validation = entry.field("validation");
+        assert_eq!(
+            validation.get("mean_relative_error"),
+            Some(&Json::Null),
+            "no validation claimed"
+        );
     }
 
     #[test]

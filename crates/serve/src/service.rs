@@ -20,11 +20,12 @@ use offchip_bench::{
     build_workload, loss_summary_traced, Campaign, CampaignOptions, ProgramSpec,
 };
 use offchip_obs::TraceRef;
-use offchip_json::Json;
+use offchip_json::{Json, ToJson};
 use offchip_model::{
-    fit_robust_from_sweep, validate, FitProtocol, FitQuality, ModelParams, RobustOptions,
+    fit_robust_from_sweep, validate, ContentionModel, FitProtocol, FitQuality, RobustOptions,
 };
 use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
+use offchip_topology::MachineSpec;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -130,51 +131,173 @@ impl FillError for ServiceError {
     }
 }
 
+/// Pre-rendered response fields: `(key, compact JSON)` pairs sorted by key.
+type Fields = Vec<(&'static str, String)>;
+
 /// A fitted model plus everything a response quotes about it — computed
 /// once per key, immutable thereafter.
 pub struct FittedEntry {
-    /// Full machine name ("Intel UMA: Xeon E5320").
-    pub machine_name: String,
-    /// Fitting protocol used.
-    pub protocol: &'static str,
     /// Cores on the machine.
     pub total_cores: usize,
     /// The fitted composition model.
-    pub model: offchip_model::ContentionModel,
-    /// Fitted parameters, pre-serialised.
-    pub params: ModelParams,
-    /// Robust-fit degradation ledger.
-    pub quality: FitQuality,
-    /// Mean relative / absolute ω error against the fill sweep.
-    pub mean_relative_error: Option<f64>,
-    /// Mean absolute ω error against the fill sweep.
-    pub mean_absolute_error: f64,
+    pub model: ContentionModel,
+    /// The model-description fields every response quotes, rendered
+    /// once: `fit_quality`, `machine`, `model`, `protocol`,
+    /// `total_cores` and `validation`.
+    fields: Fields,
+    /// The same fields as a `Json` tree, the byte-identity tests' oracle.
+    #[cfg(test)]
+    oracle: Json,
 }
 
 impl FittedEntry {
-    /// The model-description fields shared by every response.
-    fn model_json(&self) -> Json {
-        offchip_json::json_obj! {
-            "machine" => self.machine_name,
-            "protocol" => self.protocol,
-            "total_cores" => self.total_cores,
-            "model" => self.params,
-            "fit_quality" => self.quality,
-            "validation" => offchip_json::json_obj! {
-                "mean_relative_error" => self.mean_relative_error,
-                "mean_absolute_error" => self.mean_absolute_error,
-            },
+    /// The entry for `model`, fitted on `machine` under `proto`, with
+    /// its fit-quality ledger and its ω errors against the fill sweep
+    /// (`None` / 0 when no sweep validates it).
+    pub fn new(
+        machine: &MachineSpec,
+        proto: &FitProtocol,
+        model: ContentionModel,
+        quality: &FitQuality,
+        mean_relative_error: Option<f64>,
+        mean_absolute_error: f64,
+    ) -> FittedEntry {
+        let total_cores = machine.total_cores();
+        let params = model.params();
+        let validation = offchip_json::json_obj! {
+            "mean_relative_error" => mean_relative_error,
+            "mean_absolute_error" => mean_absolute_error,
+        };
+        let fields = [
+            ("fit_quality", quality.to_json()),
+            ("machine", machine.name.to_json()),
+            ("model", params.to_json()),
+            ("protocol", proto.name.to_json()),
+            ("total_cores", total_cores.to_json()),
+            ("validation", validation),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key, value.to_compact_string()))
+        .collect();
+        FittedEntry {
+            total_cores,
+            #[cfg(test)]
+            oracle: tests::model_json(
+                &machine.name,
+                proto.name,
+                total_cores,
+                &params,
+                quality,
+                mean_relative_error,
+                mean_absolute_error,
+            ),
+            model,
+            fields,
         }
     }
 
-    fn point_json(&self, n: usize) -> Json {
-        offchip_json::json_obj! {
-            "n" => n,
-            "c_n" => self.model.predict_c(n),
-            "omega_n" => self.model.predict_omega(n),
-            "speedup_n" => self.model.predict_speedup(n),
-        }
+    /// This entry's fields plus a degraded answer's in-band provenance:
+    /// the `tier`, and the `breaker` state that forced it.
+    fn degraded_fields(&self, info: &BreakerInfo) -> Fields {
+        let breaker = offchip_json::json_obj! {
+            "state" => info.state.as_str(),
+            "consecutive_failures" => u64::from(info.consecutive_failures),
+            "last_error_kind" => info.last_error_kind,
+            "last_error" => info.last_error,
+        };
+        let mut fields = self.fields.clone();
+        fields.push(("breaker", breaker.to_compact_string()));
+        fields.push(("tier", "degraded-analytic".to_json().to_compact_string()));
+        fields.sort_unstable_by_key(|&(key, _)| key);
+        fields
     }
+}
+
+/// Writes one model response body, `{…}\n`. The request adds its own
+/// fields in ascending key order, and the writer splices the entry's
+/// pre-rendered fields in between where they sort. The bytes are those
+/// of the compact rendering of one `BTreeMap`-keyed `Json` object
+/// holding all the fields, without building it per request.
+struct Body<'a> {
+    out: String,
+    /// Pre-rendered fields not yet written.
+    fixed: &'a [(&'static str, String)],
+}
+
+impl<'a> Body<'a> {
+    fn new(fixed: &'a [(&'static str, String)]) -> Body<'a> {
+        let len: usize = fixed.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+        let mut out = String::with_capacity(len + 256);
+        out.push('{');
+        Body { out, fixed }
+    }
+
+    /// Appends the field `key`, whose value `write` renders; `key` must
+    /// sort after every field the request added before it.
+    fn field(&mut self, key: &str, write: impl FnOnce(&mut String)) {
+        while let Some(((k, v), rest)) = self.fixed.split_first() {
+            if *k > key {
+                break;
+            }
+            self.key(k);
+            self.out.push_str(v);
+            self.fixed = rest;
+        }
+        self.key(key);
+        write(&mut self.out);
+    }
+
+    fn num(&mut self, key: &str, v: f64) {
+        self.field(key, |out| Json::Num(v).write_compact(out));
+    }
+
+    fn key(&mut self, key: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        push_key(&mut self.out, key);
+    }
+
+    /// The body: the remaining pre-rendered fields, `}` and a newline.
+    fn finish(mut self) -> String {
+        for (k, v) in self.fixed {
+            self.key(k);
+            self.out.push_str(v);
+        }
+        self.out.push_str("}\n");
+        self.out
+    }
+}
+
+/// Appends `"key":`. Keys are this module's own identifiers, none of
+/// which needs escaping.
+fn push_key(out: &mut String, key: &str) {
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+/// Appends `{"k":v,…}` for numeric fields given in ascending key order.
+fn push_num_obj(out: &mut String, fields: &[(&str, f64)]) {
+    out.push('{');
+    for (i, (key, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_key(out, key);
+        Json::Num(*v).write_compact(out);
+    }
+    out.push('}');
+}
+
+/// The model's answer at `n`, as key-sorted `(key, value)` fields.
+fn point(model: &ContentionModel, n: usize) -> [(&'static str, f64); 4] {
+    [
+        ("c_n", model.predict_c(n)),
+        ("n", n as f64),
+        ("omega_n", model.predict_omega(n)),
+        ("speedup_n", model.predict_speedup(n)),
+    ]
 }
 
 /// How [`PredictService::model_for`] answered.
@@ -222,8 +345,8 @@ impl PredictService {
         let reg = offchip_obs::registry();
         let (path, query) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
         let resp = match (req.method.as_str(), path) {
-            ("POST", "/predict") => self.endpoint(req, "predict", Self::predict, trace),
-            ("POST", "/sweep") => self.endpoint(req, "sweep", Self::sweep, trace),
+            ("POST", "/predict") => self.endpoint(req, "serve.requests.predict", predict, trace),
+            ("POST", "/sweep") => self.endpoint(req, "serve.requests.sweep", sweep, trace),
             ("GET", "/metrics") => {
                 reg.add("serve.requests.metrics", 1);
                 if query.split('&').any(|kv| kv == "fmt=prom") {
@@ -260,32 +383,38 @@ impl PredictService {
     }
 
     /// Shared wrapper for the two model endpoints: parse the key, get or
-    /// fill the cached model, run the endpoint body, stamp the cache
-    /// disposition header and per-endpoint metrics.
+    /// fill the cached model, write the endpoint body, stamp the cache
+    /// disposition header and per-endpoint metrics. `metric` is the
+    /// endpoint's request counter.
     fn endpoint(
         &self,
         req: &Request,
-        name: &'static str,
-        body: fn(&Self, &FittedEntry, &Json) -> Result<Json, ServiceError>,
+        metric: &'static str,
+        body: fn(&FittedEntry, &Json, Body<'_>) -> Result<String, ServiceError>,
         trace: TraceRef,
     ) -> Response {
         let reg = offchip_obs::registry();
-        reg.add(&format!("serve.requests.{name}"), 1);
+        reg.add(metric, 1);
         let deadline = self.deadline_for(req);
         let outcome = (|| {
             let doc = parse_body(&req.body)?;
             let key = parse_key(&doc)?;
             let outcome = self.model_for_traced(&key, Some(deadline), trace)?;
-            let json = match &outcome {
-                ModelOutcome::Fitted(entry, _) | ModelOutcome::Degraded(entry, _) => {
-                    Some(body(self, entry, &doc)?)
+            let text = match &outcome {
+                ModelOutcome::Fitted(entry, _) => {
+                    Some(body(entry, &doc, Body::new(&entry.fields))?)
+                }
+                // Degraded bodies carry their provenance in-band — a
+                // caller that drops headers still sees the tier.
+                ModelOutcome::Degraded(entry, info) => {
+                    Some(body(entry, &doc, Body::new(&entry.degraded_fields(info)))?)
                 }
                 ModelOutcome::Pending => None,
             };
-            Ok::<_, ServiceError>((json, outcome))
+            Ok::<_, ServiceError>((text, outcome))
         })();
         match outcome {
-            Ok((json, ModelOutcome::Fitted(_, disposition))) => {
+            Ok((text, ModelOutcome::Fitted(_, disposition))) => {
                 match disposition {
                     Disposition::Miss => reg.add("serve.cache.miss", 1),
                     Disposition::Hit | Disposition::Coalesced => reg.add("serve.cache.hit", 1),
@@ -293,27 +422,12 @@ impl PredictService {
                 reg.gauge_set("serve.cache.entries", self.cache.len() as u64);
                 // The disposition travels only in this header: cold and
                 // warm response bodies must stay byte-identical.
-                Response::json(200, format!("{}\n", json.expect("fitted body").to_compact_string()))
+                Response::json(200, text.expect("fitted body"))
                     .with_header("X-Offchip-Cache", disposition.as_str())
             }
-            Ok((json, ModelOutcome::Degraded(_, info))) => {
+            Ok((text, ModelOutcome::Degraded(..))) => {
                 reg.add("serve.degraded", 1);
-                let mut json = json.expect("degraded body");
-                // Degraded bodies carry their provenance in-band — a
-                // caller that drops headers still sees the tier.
-                merge(
-                    &mut json,
-                    offchip_json::json_obj! {
-                        "tier" => "degraded-analytic",
-                        "breaker" => offchip_json::json_obj! {
-                            "state" => info.state.as_str(),
-                            "consecutive_failures" => u64::from(info.consecutive_failures),
-                            "last_error_kind" => info.last_error_kind,
-                            "last_error" => info.last_error,
-                        },
-                    },
-                );
-                Response::json(200, format!("{}\n", json.to_compact_string()))
+                Response::json(200, text.expect("degraded body"))
                     .with_header("X-Offchip-Cache", "degraded")
                     .with_header("X-Offchip-Tier", "degraded-analytic")
             }
@@ -327,6 +441,7 @@ impl PredictService {
                     .with_header("Retry-After", &PENDING_RETRY_AFTER_S.to_string())
             }
             Err(e) => {
+                let name = metric.trim_start_matches("serve.requests.");
                 offchip_obs::warn!("serve: {name} failed: {}", e.message());
                 Response::error(e.status(), e.message())
             }
@@ -356,18 +471,23 @@ impl PredictService {
         deadline: Option<Instant>,
         trace: TraceRef,
     ) -> Result<ModelOutcome, ServiceError> {
-        let detail = || format!("key={}/{}", key.machine, key.program);
+        // Records one span under the request; its detail string is built
+        // only when the request is traced.
+        let span = |name: &'static str, extra: std::fmt::Arguments<'_>, dur_us: u64| {
+            if trace.is_active() {
+                let detail = format!("key={}/{}{extra}", key.machine, key.program);
+                offchip_obs::span_event(trace.trace, trace.parent, name, detail, dur_us);
+            }
+        };
         if let Some(entry) = self.cache.peek(key) {
-            offchip_obs::span_event(trace.trace, trace.parent, "cache.hit", detail(), 0);
+            span("cache.hit", format_args!(""), 0);
             return Ok(ModelOutcome::Fitted(entry, Disposition::Hit));
         }
         match self.breaker.admit(key) {
             Admission::Degrade { probe, info } => {
-                offchip_obs::span_event(
-                    trace.trace,
-                    trace.parent,
+                span(
                     "breaker.degraded",
-                    format!("{} state={} probe={probe}", detail(), info.state.as_str()),
+                    format_args!(" state={} probe={probe}", info.state.as_str()),
                     0,
                 );
                 if probe {
@@ -386,36 +506,22 @@ impl PredictService {
                 match self.cache.get_or_start(key, deadline, self.fill_closure(key, trace)) {
                     Fetch::Ready(entry, disposition) => {
                         match disposition {
-                            Disposition::Hit => {
-                                offchip_obs::span_event(
-                                    trace.trace,
-                                    trace.parent,
-                                    "cache.hit",
-                                    detail(),
-                                    0,
-                                );
-                            }
+                            Disposition::Hit => span("cache.hit", format_args!(""), 0),
                             // Leader and coalesced waiter both spent this
                             // long blocked on the fill; the fill's own
                             // span (leader's trace only) shows the work.
-                            Disposition::Miss | Disposition::Coalesced => {
-                                offchip_obs::span_event(
-                                    trace.trace,
-                                    trace.parent,
-                                    "fill.wait",
-                                    format!("{} disposition={}", detail(), disposition.as_str()),
-                                    t0.elapsed().as_micros() as u64,
-                                );
-                            }
+                            Disposition::Miss | Disposition::Coalesced => span(
+                                "fill.wait",
+                                format_args!(" disposition={}", disposition.as_str()),
+                                t0.elapsed().as_micros() as u64,
+                            ),
                         }
                         Ok(ModelOutcome::Fitted(entry, disposition))
                     }
                     Fetch::Pending { .. } => {
-                        offchip_obs::span_event(
-                            trace.trace,
-                            trace.parent,
+                        span(
                             "fill.pending",
-                            detail(),
+                            format_args!(""),
                             t0.elapsed().as_micros() as u64,
                         );
                         Ok(ModelOutcome::Pending)
@@ -496,39 +602,42 @@ impl PredictService {
         let proto = FitProtocol::for_machine(&machine.name);
         Ok(Arc::new(degraded::analytic_entry(&machine, &proto)?))
     }
+}
 
-    /// `POST /predict` body: one core count.
-    fn predict(&self, entry: &FittedEntry, doc: &Json) -> Result<Json, ServiceError> {
-        let n = parse_n(doc, "n")?;
-        let mut out = entry.model_json();
-        merge(&mut out, entry.point_json(n));
-        Ok(out)
+/// `POST /predict` body: one core count.
+fn predict(entry: &FittedEntry, doc: &Json, mut body: Body<'_>) -> Result<String, ServiceError> {
+    let n = parse_n(doc, "n")?;
+    for (key, v) in point(&entry.model, n) {
+        body.num(key, v);
     }
+    Ok(body.finish())
+}
 
-    /// `POST /sweep` body: an inclusive `n_from..=n_to` range.
-    fn sweep(&self, entry: &FittedEntry, doc: &Json) -> Result<Json, ServiceError> {
-        let from = parse_n(doc, "n_from")?;
-        let to = parse_n(doc, "n_to")?;
-        if from > to {
-            return Err(ServiceError::BadRequest("n_from must be <= n_to".into()));
+/// `POST /sweep` body: an inclusive `n_from..=n_to` range.
+fn sweep(entry: &FittedEntry, doc: &Json, mut body: Body<'_>) -> Result<String, ServiceError> {
+    let from = parse_n(doc, "n_from")?;
+    let to = parse_n(doc, "n_to")?;
+    if from > to {
+        return Err(ServiceError::BadRequest("n_from must be <= n_to".into()));
+    }
+    let (best_n, best_speedup) = entry.model.optimal_cores(to);
+    body.num("n_from", from as f64);
+    body.num("n_to", to as f64);
+    body.field("optimal", |out| {
+        push_num_obj(out, &[("n", best_n as f64), ("speedup", best_speedup)]);
+    });
+    body.field("points", |out| {
+        out.reserve((to - from + 1) * 96);
+        out.push('[');
+        for n in from..=to {
+            if n > from {
+                out.push(',');
+            }
+            push_num_obj(out, &point(&entry.model, n));
         }
-        let points: Vec<Json> = (from..=to).map(|n| entry.point_json(n)).collect();
-        let (best_n, best_speedup) = entry.model.optimal_cores(to);
-        let mut out = entry.model_json();
-        merge(
-            &mut out,
-            offchip_json::json_obj! {
-                "n_from" => from,
-                "n_to" => to,
-                "points" => points,
-                "optimal" => offchip_json::json_obj! {
-                    "n" => best_n,
-                    "speedup" => best_speedup,
-                },
-            },
-        );
-        Ok(out)
-    }
+        out.push(']');
+    });
+    Ok(body.finish())
 }
 
 /// The fill path: journaled sweep → robust fit → validation. A free
@@ -608,24 +717,14 @@ fn fill_model(
     let v = validate(&robust.model, &cycles)
         .map_err(|e| ServiceError::Fit(format!("validation failed: {e}")))?;
 
-    let params = robust.model.params();
-    Ok(FittedEntry {
-        machine_name: machine.name.clone(),
-        protocol: proto.name,
-        total_cores: total,
-        model: robust.model,
-        params,
-        quality: robust.quality,
-        mean_relative_error: v.mean_relative_error,
-        mean_absolute_error: v.mean_absolute_error,
-    })
-}
-
-/// Merges `add`'s fields into `base` (both must be objects).
-fn merge(base: &mut Json, add: Json) {
-    if let (Json::Obj(b), Json::Obj(a)) = (base, add) {
-        b.extend(a);
-    }
+    Ok(FittedEntry::new(
+        &machine,
+        &proto,
+        robust.model,
+        &robust.quality,
+        v.mean_relative_error,
+        v.mean_absolute_error,
+    ))
 }
 
 fn parse_body(body: &[u8]) -> Result<Json, ServiceError> {
@@ -679,7 +778,7 @@ fn parse_n(doc: &Json, field: &str) -> Result<usize, ServiceError> {
     Ok(n as usize)
 }
 
-fn machine_for(key: &str) -> Result<offchip_topology::MachineSpec, ServiceError> {
+fn machine_for(key: &str) -> Result<MachineSpec, ServiceError> {
     let spec = match key {
         "uma" => machines::intel_uma_8(),
         "numa" => machines::intel_numa_24(),
@@ -696,9 +795,247 @@ fn machine_for(key: &str) -> Result<offchip_topology::MachineSpec, ServiceError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::BreakerState;
 
     fn doc(text: &str) -> Json {
         Json::parse(text).unwrap()
+    }
+
+    impl FittedEntry {
+        /// One pre-rendered field, parsed back.
+        pub(crate) fn field(&self, key: &str) -> Json {
+            let (_, text) = self
+                .fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .expect("field present");
+            Json::parse(text).unwrap()
+        }
+    }
+
+    /// The model-description fields as a `Json` tree: the renderer
+    /// before fragments, kept as the oracle the writer must match.
+    pub(super) fn model_json(
+        machine_name: &str,
+        protocol: &str,
+        total_cores: usize,
+        params: &offchip_model::ModelParams,
+        quality: &FitQuality,
+        mean_relative_error: Option<f64>,
+        mean_absolute_error: f64,
+    ) -> Json {
+        offchip_json::json_obj! {
+            "machine" => machine_name,
+            "protocol" => protocol,
+            "total_cores" => total_cores,
+            "model" => *params,
+            "fit_quality" => *quality,
+            "validation" => offchip_json::json_obj! {
+                "mean_relative_error" => mean_relative_error,
+                "mean_absolute_error" => mean_absolute_error,
+            },
+        }
+    }
+
+    fn point_json(model: &ContentionModel, n: usize) -> Json {
+        offchip_json::json_obj! {
+            "n" => n,
+            "c_n" => model.predict_c(n),
+            "omega_n" => model.predict_omega(n),
+            "speedup_n" => model.predict_speedup(n),
+        }
+    }
+
+    /// Merges `add`'s fields into `base` (both must be objects).
+    fn merge(base: &mut Json, add: Json) {
+        if let (Json::Obj(b), Json::Obj(a)) = (base, add) {
+            b.extend(a);
+        }
+    }
+
+    /// A model request: `/predict` at `n`, or `/sweep` over `from..=to`.
+    #[derive(Clone, Copy, Debug)]
+    enum Ask {
+        Predict(usize),
+        Sweep(usize, usize),
+    }
+
+    /// The body the production writer answers `ask` with.
+    fn written(entry: &FittedEntry, ask: Ask, info: Option<&BreakerInfo>) -> String {
+        let degraded;
+        let fixed = match info {
+            Some(info) => {
+                degraded = entry.degraded_fields(info);
+                &degraded
+            }
+            None => &entry.fields,
+        };
+        match ask {
+            Ask::Predict(n) => predict(entry, &doc(&format!(r#"{{"n":{n}}}"#)), Body::new(fixed)),
+            Ask::Sweep(from, to) => sweep(
+                entry,
+                &doc(&format!(r#"{{"n_from":{from},"n_to":{to}}}"#)),
+                Body::new(fixed),
+            ),
+        }
+        .unwrap()
+    }
+
+    /// The body the `Json` tree renders for `ask`.
+    fn oracle(entry: &FittedEntry, ask: Ask, info: Option<&BreakerInfo>) -> String {
+        let mut json = entry.oracle.clone();
+        match ask {
+            Ask::Predict(n) => merge(&mut json, point_json(&entry.model, n)),
+            Ask::Sweep(from, to) => {
+                let points: Vec<Json> = (from..=to).map(|n| point_json(&entry.model, n)).collect();
+                let (best_n, best_speedup) = entry.model.optimal_cores(to);
+                merge(
+                    &mut json,
+                    offchip_json::json_obj! {
+                        "n_from" => from,
+                        "n_to" => to,
+                        "points" => points,
+                        "optimal" => offchip_json::json_obj! {
+                            "n" => best_n,
+                            "speedup" => best_speedup,
+                        },
+                    },
+                );
+            }
+        }
+        if let Some(info) = info {
+            merge(
+                &mut json,
+                offchip_json::json_obj! {
+                    "tier" => "degraded-analytic",
+                    "breaker" => offchip_json::json_obj! {
+                        "state" => info.state.as_str(),
+                        "consecutive_failures" => u64::from(info.consecutive_failures),
+                        "last_error_kind" => info.last_error_kind,
+                        "last_error" => info.last_error,
+                    },
+                },
+            );
+        }
+        format!("{}\n", json.to_compact_string())
+    }
+
+    /// An open breaker whose last error needs escaping, and a half-open
+    /// one with nothing recorded.
+    fn breakers() -> [BreakerInfo; 2] {
+        [
+            BreakerInfo {
+                state: BreakerState::Open,
+                consecutive_failures: 3,
+                last_error_kind: Some("campaign-loss"),
+                last_error: Some(
+                    "fill campaign lost 1 point(s) (\"n=8\"\tdeadline)\nretry resumes".into(),
+                ),
+            },
+            BreakerInfo {
+                state: BreakerState::HalfOpen,
+                consecutive_failures: 0,
+                last_error_kind: None,
+                last_error: None,
+            },
+        ]
+    }
+
+    fn analytic(machine: &str) -> FittedEntry {
+        let machine = machine_for(machine).unwrap();
+        let proto = FitProtocol::for_machine(&machine.name);
+        degraded::analytic_entry(&machine, &proto).unwrap()
+    }
+
+    /// Every request shape the byte-identity tests cover for `entry`.
+    fn asks(entry: &FittedEntry) -> Vec<Ask> {
+        let total = entry.total_cores;
+        let mut asks: Vec<Ask> = (1..=total + 1).chain([MAX_N]).map(Ask::Predict).collect();
+        asks.extend((1..=total).map(|k| Ask::Sweep(k, k)));
+        asks.extend([Ask::Sweep(1, total), Ask::Sweep(1, MAX_N)]);
+        asks
+    }
+
+    fn assert_writer_matches_oracle(entry: &FittedEntry) {
+        for ask in asks(entry) {
+            assert_eq!(
+                written(entry, ask, None),
+                oracle(entry, ask, None),
+                "{ask:?}"
+            );
+        }
+        let total = entry.total_cores;
+        for info in &breakers() {
+            for ask in [Ask::Predict(1), Ask::Predict(total), Ask::Sweep(1, total)] {
+                assert_eq!(
+                    written(entry, ask, Some(info)),
+                    oracle(entry, ask, Some(info)),
+                    "{ask:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn analytic_bodies_match_the_json_tree() {
+        for machine in ["uma", "numa", "amd"] {
+            assert_writer_matches_oracle(&analytic(machine));
+        }
+    }
+
+    #[test]
+    fn simulated_fill_bodies_match_the_json_tree() {
+        let dir = std::env::temp_dir().join(format!("offchip-serve-bodies-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServiceConfig {
+            journal_dir: Some(dir.clone()),
+            seeds: vec![1, 2],
+            jobs: 2,
+            ..ServiceConfig::default()
+        };
+        let key = ModelKey {
+            machine: "uma".into(),
+            program: "CG.S".into(),
+        };
+        let entry = fill_model(&config, &key, TraceRef::NONE).expect("uma/CG.S fills");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(entry
+            .field("validation")
+            .get("mean_relative_error")
+            .and_then(Json::as_f64)
+            .is_some());
+        assert_writer_matches_oracle(&entry);
+    }
+
+    /// Bodies rendered for the analytic entries before the writer
+    /// existed, one `label<TAB>body` line each; the label is
+    /// `machine tier endpoint n…`, the tier `fitted`, `open` or
+    /// `half-open`. Unlike the oracle, this file cannot drift with the
+    /// code.
+    #[test]
+    fn analytic_bodies_match_the_golden_file() {
+        let golden = include_str!("../tests/golden_bodies.txt");
+        let [open, half_open] = breakers();
+        let mut checked = 0;
+        for line in golden.lines() {
+            let (label, body) = line.split_once('\t').expect("label<TAB>body");
+            let words: Vec<&str> = label.split(' ').collect();
+            let entry = analytic(words[0]);
+            let info = match words[1] {
+                "fitted" => None,
+                "open" => Some(&open),
+                "half-open" => Some(&half_open),
+                tier => panic!("unknown tier {tier:?}"),
+            };
+            let n = |i: usize| words[i].parse::<usize>().unwrap();
+            let ask = match words[2] {
+                "predict" => Ask::Predict(n(3)),
+                _ => Ask::Sweep(n(3), n(4)),
+            };
+            assert_eq!(written(&entry, ask, info), format!("{body}\n"), "{label}");
+            checked += 1;
+        }
+        assert_eq!(checked, 28);
     }
 
     #[test]
